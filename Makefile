@@ -1,6 +1,7 @@
 # Developer entry points for the CAB reproduction. `make test` is the
 # tier-1 gate; `make race` covers the concurrent runtime under the race
-# detector; `make lint` machine-checks the runtime's concurrency and
+# detector; `make test-cpu` reruns the concurrent packages at 1, 2 and 4
+# Ps; `make lint` machine-checks the runtime's concurrency and
 # hot-path invariants with cablint (see internal/lint); `make check` is
 # the full pre-merge sweep; `make bench` runs the fast-path
 # microbenchmarks and writes BENCH_rt.json (see scripts/bench.sh) so PRs
@@ -8,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-fix-fixtures check bench bench-check
+.PHONY: all build test test-cpu race vet lint lint-fix-fixtures check bench bench-check
 
 all: build vet test
 
@@ -17,6 +18,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The concurrent packages at several GOMAXPROCS values: ordering bugs
+# between a published pointer and its readers show only when workers
+# really run in parallel, whatever the host's core count.
+CONCURRENT = ./internal/rt ./internal/jobs ./internal/par ./internal/deque ./internal/park ./cmd/cabserve
+
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 $(CONCURRENT)
 
 race:
 	$(GO) test -race ./...
@@ -37,7 +46,7 @@ lint: bin/cablint
 lint-fix-fixtures:
 	CABLINT_FIXWANT=1 $(GO) test ./internal/lint/...
 
-check: build vet lint test
+check: build vet lint test test-cpu
 
 bench:
 	./scripts/bench.sh

@@ -148,9 +148,10 @@ type Config struct {
 	// against retry storms); 0 selects the default (32), negative removes
 	// the bound. Only meaningful with Retry set.
 	RetryBudget int
-	// Profile arms time-in-state and steal-flow accounting from the start
-	// (see StartProfile/StopProfile and Profile). Disarmed profiling costs
-	// one atomic load per instrumentation point, like disarmed tracing.
+	// Profile arms time-in-state accounting from the start (see
+	// StartProfile/StopProfile and Profile). Disarmed it costs one atomic
+	// load per state transition, like disarmed tracing. The steal-flow
+	// matrix needs no arming: it is the steal ledger Stats is read from.
 	Profile bool
 	// HWC attaches hardware performance counters (cycles, instructions,
 	// LLC loads and misses via Linux perf_event_open) to each worker's OS
@@ -231,24 +232,12 @@ func (s *Scheduler) Run(fn TaskFunc) error {
 }
 
 // Stats reports scheduler event counters since New. The runtime keeps the
-// counts in cache-line-padded per-worker shards (so the spawn/steal hot
-// path never touches a shared contended line) and aggregates them here;
-// the snapshot is monitoring-grade, not a single linearizable cut.
-func (s *Scheduler) Stats() Stats {
-	st := s.rt.Stats()
-	return Stats{
-		Spawns:           st.Spawns,
-		InterSpawns:      st.InterSpawns,
-		StealsIntra:      st.StealsIntra,
-		StealsInter:      st.StealsInter,
-		StealsInterTasks: st.StealsInterTasks,
-		BatchSteals:      st.BatchSteals,
-		FailedSteals:     st.FailedSteals,
-		Helps:            st.Helps,
-		ProbesIntra:      st.ProbesIntra,
-		ProbesInter:      st.ProbesInter,
-	}
-}
+// counts in cache-line-padded per-worker shards and steal-flow rows (so
+// the spawn/steal hot path never touches a shared contended line) and
+// folds them here in one pass; the probe and steal fields are the flow
+// matrix's totals (see Profile.Flow). The snapshot is monitoring-grade,
+// not a single linearizable cut.
+func (s *Scheduler) Stats() Stats { return Stats(s.rt.Stats()) }
 
 // SquadStats reports the per-squad (per-socket) breakdown of the event
 // counters — the lens the paper's §V argument uses: a healthy BL > 0 run
@@ -257,18 +246,7 @@ func (s *Scheduler) SquadStats() []Stats {
 	per := s.rt.SquadStats()
 	out := make([]Stats, len(per))
 	for i, st := range per {
-		out[i] = Stats{
-			Spawns:           st.Spawns,
-			InterSpawns:      st.InterSpawns,
-			StealsIntra:      st.StealsIntra,
-			StealsInter:      st.StealsInter,
-			StealsInterTasks: st.StealsInterTasks,
-			BatchSteals:      st.BatchSteals,
-			FailedSteals:     st.FailedSteals,
-			Helps:            st.Helps,
-			ProbesIntra:      st.ProbesIntra,
-			ProbesInter:      st.ProbesInter,
-		}
+		out[i] = Stats(st)
 	}
 	return out
 }
@@ -301,11 +279,14 @@ func (s *Scheduler) Close() {
 	s.rt.Close()
 }
 
-// Stats are cumulative scheduler event counters.
+// Stats are cumulative scheduler event counters. The fields mirror the
+// runtime's own Stats one for one (Scheduler.Stats converts directly).
 type Stats struct {
 	Spawns      int64 // tasks created
 	InterSpawns int64 // tasks created into the inter-socket tier
-	StealsIntra int64 // successful intra-socket steals
+	// StealsIntra counts successful intra-socket steals; at boundary
+	// level 0, where every deque is one tier, it counts every steal.
+	StealsIntra int64
 	// StealsInter counts cross-socket steal operations; StealsInterTasks
 	// counts the tasks those operations carried. Steal-half batching makes
 	// the second exceed the first — the gap is socket crossings saved —

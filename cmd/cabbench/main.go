@@ -37,13 +37,14 @@
 // stdout and exits 1 if any scenario misbehaves — the CI smoke for the
 // robustness layer.
 //
-// -profile runs the scheduler X-ray smoke: fib on a live 2x2 squad
-// machine at BL 1 with time-in-state and steal-flow accounting (and
-// hardware counters where the host permits) armed from construction. It
-// prints the profile roll-up as JSON and exits 1 unless the books
-// balance: non-zero exec time, and the flow matrix's probe/hit/frame
-// sums equal to the scheduler's own steal counters — the CI gate for the
-// profiling layer.
+// -profile runs the scheduler X-ray smoke: one fib job on a live 2x2
+// squad machine at BL 1 with time-in-state accounting (and hardware
+// counters where the host permits) armed from construction. It prints
+// the profile roll-up as JSON and exits 1 unless the books balance:
+// non-zero exec time, the flow matrix's hits and frames equal to the
+// scheduler's steal counters, and the matrix's deque hits and
+// cross-squad frames equal to the job's own Steals and Migrations — the
+// CI gate for the profiling layer.
 //
 // -trace out.json runs fib(-tracefib) on the real runtime with event
 // tracing armed on a 2-socket squad machine (BL 2) and writes the window
@@ -397,12 +398,11 @@ func profFail(format string, args ...interface{}) {
 	os.Exit(1)
 }
 
-// runProfile is the scheduler X-ray smoke: fib on a 2x2 squad machine at
-// BL 1 with profiling (and hardware counters, where the host grants
-// them) armed from construction, then a books-balance check — the flow
-// matrix's probe/hit/frame sums must equal the scheduler's own steal
-// counters exactly, and real work must show up as exec time. Emits the
-// roll-up as JSON on stdout; any imbalance exits 1.
+// runProfile is the scheduler X-ray smoke (see the -profile doc above).
+// Once the only job is done no frame is left to steal, so hits and frames
+// stop moving and can be compared across reads; idle workers keep
+// probing, so probes cannot. Emits the roll-up as JSON on stdout; any
+// imbalance exits 1.
 func runProfile() {
 	sched, err := cab.New(cab.Config{
 		Machine:       cab.Machine{Sockets: 2, CoresPerSocket: 2, SharedCache: 1 << 20},
@@ -431,10 +431,15 @@ func runProfile() {
 		}
 	}
 	start := time.Now()
-	if err := sched.Run(fib(22)); err != nil {
+	job, err := sched.Submit(context.Background(), fib(22))
+	if err != nil {
+		profFail("fib submit: %v", err)
+	}
+	if err := job.Wait(); err != nil {
 		profFail("fib run: %v", err)
 	}
 	wallMS := float64(time.Since(start).Microseconds()) / 1000
+	js := job.Stats()
 
 	p := sched.Profile()
 	st := sched.Stats()
@@ -452,12 +457,17 @@ func runProfile() {
 		times.AdmitWait += sq.Times.AdmitWait
 		squadExecMS[i] = float64(sq.Times.Exec.Microseconds()) / 1000
 	}
-	var probes, hits, frames int64
-	for _, row := range p.Flow {
-		for _, c := range row {
+	var probes, hits, frames, diagHits, offFrames int64
+	for i, row := range p.Flow {
+		for j, c := range row {
 			probes += c.Probes
 			hits += c.Hits
 			frames += c.Frames
+			if i == j {
+				diagHits += c.Hits
+			} else {
+				offFrames += c.Frames
+			}
 		}
 	}
 
@@ -474,6 +484,8 @@ func runProfile() {
 		FlowFrames  int64     `json:"flow_frames"`
 		StealsIntra int64     `json:"steals_intra"`
 		StealsInter int64     `json:"steals_inter"`
+		JobSteals   int64     `json:"job_steals"`
+		JobMigrate  int64     `json:"job_migrations"`
 		HWC         bool      `json:"hwc_available"`
 		OK          bool      `json:"ok"`
 	}{
@@ -483,17 +495,14 @@ func runProfile() {
 		float64(times.ScanInter.Microseconds()) / 1000,
 		float64(times.Park.Microseconds()) / 1000,
 		squadExecMS, probes, hits, frames,
-		st.StealsIntra, st.StealsInter, p.HWCAvailable, true,
+		st.StealsIntra, st.StealsInter, js.Steals, js.Migrations,
+		p.HWCAvailable, true,
 	}
 	if times.Exec <= 0 {
 		profFail("no exec time accounted over a fib run: %+v", out)
 	}
 	if times.Total() <= 0 {
 		profFail("total state time is zero: %+v", out)
-	}
-	if probes != st.ProbesIntra+st.ProbesInter {
-		profFail("flow probes %d != ProbesIntra %d + ProbesInter %d",
-			probes, st.ProbesIntra, st.ProbesInter)
 	}
 	if hits != st.StealsIntra+st.StealsInter {
 		profFail("flow hits %d != StealsIntra %d + StealsInter %d",
@@ -502,6 +511,10 @@ func runProfile() {
 	if frames != st.StealsIntra+st.StealsInterTasks {
 		profFail("flow frames %d != StealsIntra %d + StealsInterTasks %d",
 			frames, st.StealsIntra, st.StealsInterTasks)
+	}
+	if js.Steals != diagHits || js.Migrations != offFrames {
+		profFail("job steals %d / migrations %d != flow diagonal hits %d / off-diagonal frames %d",
+			js.Steals, js.Migrations, diagHits, offFrames)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -737,9 +750,6 @@ type soakLedger struct {
 //   - no job lost: every future resolves within a generous timeout;
 //   - no job double-completed: a successful job ran its root at least
 //     once and never more often than its admitted attempts;
-//   - the steal-flow matrix balances exactly against the scheduler's own
-//     steal counters at the quiet point (supervision's frame reclamation
-//     must not invent or lose flow);
 //   - Health converges back to zero stalled workers after each wave;
 //   - quarantine never eats the last healthy squad.
 //
@@ -755,7 +765,6 @@ func runSoak(seconds int, seed uint64) {
 	sched, err := cab.New(cab.Config{
 		Machine:       cab.Machine{Sockets: 2, CoresPerSocket: 2, SharedCache: 1 << 20},
 		BoundaryLevel: 1,
-		Profile:       true,
 		QueueDepth:    512,
 		FaultHook:     inj.Hook,
 		Watchdog: cab.WatchdogConfig{
@@ -862,38 +871,6 @@ func runSoak(seconds int, seed uint64) {
 		}
 	}
 
-	// checkFlow asserts the steal-flow matrix balances exactly against the
-	// scheduler's steal counters. Between waves the pool quiesces, but a
-	// scan can be mid-flight at the first snapshot — retry briefly before
-	// declaring the books broken.
-	checkFlow := func() {
-		dl := time.Now().Add(5 * time.Second)
-		for {
-			p := sched.Profile()
-			st := sched.Stats()
-			var probes, hits, frames int64
-			for _, row := range p.Flow {
-				for _, c := range row {
-					probes += c.Probes
-					hits += c.Hits
-					frames += c.Frames
-				}
-			}
-			if probes == st.ProbesIntra+st.ProbesInter &&
-				hits == st.StealsIntra+st.StealsInter &&
-				frames == st.StealsIntra+st.StealsInterTasks {
-				return
-			}
-			if time.Now().After(dl) {
-				soakFail("wave %d: flow matrix out of balance: probes %d vs %d+%d, hits %d vs %d+%d, frames %d vs %d+%d",
-					waves, probes, st.ProbesIntra, st.ProbesInter,
-					hits, st.StealsIntra, st.StealsInter,
-					frames, st.StealsIntra, st.StealsInterTasks)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
 	for time.Now().Before(deadline) {
 		waves++
 		victim := rng.Intn(workers)
@@ -927,7 +904,6 @@ func runSoak(seconds int, seed uint64) {
 			checkLedgers(ledgers)
 		}
 		waitHealthy("wave")
-		checkFlow()
 		if q := sched.ServiceStats().QuarantinedSquads; q > 1 {
 			soakFail("wave %d: %d squads quarantined, last healthy squad must survive", waves, q)
 		}

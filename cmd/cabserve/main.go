@@ -71,7 +71,7 @@ func main() {
 		reject       = flag.Bool("reject", false, "reject submissions when the queue is full (default: block)")
 		shedTarget   = flag.Duration("shed-target", 100*time.Millisecond, "shed new work when windowed p95 queue wait exceeds this (0 disables)")
 		shedInterval = flag.Duration("shed-interval", 250*time.Millisecond, "shedding decision window")
-		profile      = flag.Bool("profile", true, "arm time-in-state and steal-flow accounting (serves /flowz; a few ns per state transition)")
+		profile      = flag.Bool("profile", true, "arm time-in-state accounting for /flowz (a few ns per state transition; the steal-flow matrix always counts)")
 		hwcFlag      = flag.Bool("hwc", true, "attach per-thread hardware perf counters where the host allows")
 		sockets      = flag.Int("sockets", 0, "override the machine model's socket count (0 = detect)")
 		cores        = flag.Int("cores", 0, "override cores per socket (0 = detect)")

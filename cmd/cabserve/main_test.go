@@ -225,13 +225,28 @@ func TestFlowz(t *testing.T) {
 
 func TestTracez(t *testing.T) {
 	sched, srv := testServer(t)
-	// Generate work concurrently with the trace window so it records spans.
+	// Keep jobs running back to back for the whole trace window so it
+	// records spans: a single request can finish before the window opens.
+	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := http.Get(srv.URL + "/fib?n=30")
-		done <- err
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			resp, err := http.Get(srv.URL + "/fib?n=30")
+			if err != nil {
+				done <- err
+				return
+			}
+			resp.Body.Close()
+		}
 	}()
 	code, body := get(t, srv.URL+"/tracez?ms=100")
+	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

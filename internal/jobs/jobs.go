@@ -132,7 +132,7 @@ const jobSlabSize = 256
 type Engine struct {
 	r      *rt.Runtime
 	policy Policy
-	onDone func() // hoisted completion hook: one closure per engine, not per submit
+	onDone func(error) // hoisted completion hook: one closure per engine, not per submit
 
 	mu     sync.Mutex
 	closed bool
@@ -161,7 +161,7 @@ type Engine struct {
 // Close drains the engine's jobs but leaves the runtime running.
 func New(r *rt.Runtime, cfg Config) *Engine {
 	e := &Engine{r: r, policy: cfg.Policy, retry: cfg.Retry}
-	e.onDone = func() { e.completed.Add(1); e.live.Done() }
+	e.onDone = func(error) { e.completed.Add(1); e.live.Done() }
 	if e.retry.Max > 0 {
 		if e.retry.Backoff <= 0 {
 			e.retry.Backoff = time.Millisecond
@@ -320,9 +320,9 @@ func (e *Engine) submitAttempt(j *Job, attempt int) (*rt.Job, error) {
 	}
 	ready := make(chan struct{})
 	var arj *rt.Job
-	opts.OnDone = func() {
+	opts.OnDone = func(err error) {
 		<-ready
-		e.attemptDone(j, arj, attempt)
+		e.attemptDone(j, arj, attempt, err)
 	}
 	rj, err := e.r.SubmitWith(j.fn, opts)
 	if err != nil {
@@ -342,47 +342,48 @@ func (e *Engine) submitAttempt(j *Job, attempt int) (*rt.Job, error) {
 // outcomes (success, cancellation, non-retryable error, attempts or budget
 // spent) settle the job; a retryable failure schedules the next attempt
 // after an exponential —  optionally jittered — backoff. Runs on the
-// completing worker; it never blocks.
-func (e *Engine) attemptDone(j *Job, rj *rt.Job, attempt int) {
+// completing worker before the attempt's latch releases, with the
+// attempt's error; it never blocks.
+func (e *Engine) attemptDone(j *Job, rj *rt.Job, attempt int, err error) {
 	if attempt > 1 {
 		e.retryOut.Add(-1)
 	}
-	err := rj.Wait() // latch already tripped: this is a lock-free read
 	if err == nil || rj.Cancelled() || j.cancelReq.Load() || !e.classify(err) {
-		j.finalize(rj)
+		j.finalize(rj, err)
 		return
 	}
 	if attempt > e.retry.Max {
 		e.retryExh.Add(1)
-		j.finalize(rj)
+		j.finalize(rj, err)
 		return
 	}
 	if e.retryOut.Add(1) > e.retryBudget {
 		e.retryOut.Add(-1)
 		e.retryExh.Add(1)
-		j.finalize(rj)
+		j.finalize(rj, err)
 		return
 	}
-	time.AfterFunc(e.backoff(attempt), func() { e.resubmit(j, rj, attempt) })
+	time.AfterFunc(e.backoff(attempt), func() { e.resubmit(j, rj, attempt, err) })
 }
 
 // resubmit re-admits a retry-managed job after its backoff delay. prev is
-// the failed attempt: if the retry cannot happen (engine closed, job
-// cancelled during the wait, or the re-admission itself is shed — a retry
-// must never amplify overload), the job settles with prev's outcome.
-func (e *Engine) resubmit(j *Job, prev *rt.Job, attempt int) {
+// the failed attempt and prevErr its error: if the retry cannot happen
+// (engine closed, job cancelled during the wait, or the re-admission
+// itself is shed — a retry must never amplify overload), the job settles
+// with prev's outcome.
+func (e *Engine) resubmit(j *Job, prev *rt.Job, attempt int, prevErr error) {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
 	if closed || j.cancelReq.Load() {
 		e.retryOut.Add(-1)
-		j.finalize(prev)
+		j.finalize(prev, prevErr)
 		return
 	}
 	if _, err := e.submitAttempt(j, attempt+1); err != nil {
 		e.retryOut.Add(-1)
 		e.retryExh.Add(1)
-		j.finalize(prev)
+		j.finalize(prev, prevErr)
 		return
 	}
 	e.retries.Add(1)
@@ -406,13 +407,13 @@ func (e *Engine) backoff(attempt int) time.Duration {
 
 // finalize settles a retry-managed job exactly once: records the outcome,
 // trips the job's completion latch and releases its engine accounting.
-func (j *Job) finalize(rj *rt.Job) {
+func (j *Job) finalize(rj *rt.Job, err error) {
 	if !j.settled.CompareAndSwap(false, true) {
 		return
 	}
-	j.err = j.outcome(rj)
+	j.err = j.outcome(rj, err)
+	j.eng.completed.Add(1) // before the latch, so waiters see it counted
 	close(j.final)
-	j.eng.completed.Add(1)
 	j.eng.live.Done()
 }
 
@@ -481,8 +482,8 @@ func (e *Engine) SubmitBatch(ctx context.Context, fns []work.Fn) ([]*Job, error)
 		remaining.Store(int64(n))
 		batchDone = make(chan struct{})
 		inner := opts.OnDone
-		opts.OnDone = func() {
-			inner()
+		opts.OnDone = func(err error) {
+			inner(err)
 			if remaining.Add(-1) == 0 {
 				close(batchDone)
 			}
@@ -624,11 +625,15 @@ func (j *Job) Wait() error {
 	return j.err
 }
 
-func (j *Job) settle() { j.err = j.outcome(j.rj.Load()) }
+func (j *Job) settle() {
+	rj := j.rj.Load()
+	j.err = j.outcome(rj, rj.Wait())
+}
 
-// outcome derives the user-facing error of one drained runtime job.
-func (j *Job) outcome(rj *rt.Job) error {
-	if err := rj.Wait(); err != nil {
+// outcome derives the user-facing error of one drained runtime job whose
+// Wait returned err.
+func (j *Job) outcome(rj *rt.Job, err error) error {
+	if err != nil {
 		return err // a panic is more diagnostic than the cancellation
 	}
 	switch {

@@ -57,7 +57,8 @@ type profShard struct {
 // matrix: probes issued, probes that found work, and task frames moved.
 // Cells are owner-written by the thief worker only; rows are rounded up
 // to a whole number of line groups (see flowStride) so two workers never
-// share one.
+// share one. The matrix always counts: it is the runtime's only record of
+// steal probes and hits.
 type flowCell struct {
 	probes atomic.Int64
 	hits   atomic.Int64
@@ -73,13 +74,13 @@ const (
 )
 
 // Profiler is the second-generation observability layer's accounting
-// core: per-worker time-in-state stamps plus a worker×squad steal-flow
-// matrix, both armable at runtime. Disarmed, every instrumentation point
-// costs one atomic load and zero allocations (the PR 3 tracing
-// contract); armed, a state transition is a handful of stores on the
-// worker's own padded line group and a flow record is three atomic adds
-// on the thief's own row. Hardware counters live in internal/hwc; the
-// Profiler is the software half of Scheduler.Profile().
+// core: per-worker time-in-state stamps, armable at runtime, plus an
+// always-on worker×squad steal-flow matrix. Disarmed, a state transition
+// costs one atomic load and zero allocations (the tracing contract);
+// armed, it is a handful of stores on the worker's own padded line group.
+// A flow record is one to three atomic adds on the thief's own row,
+// armed or not. Hardware counters live in internal/hwc; the Profiler is
+// the software half of Scheduler.Profile().
 type Profiler struct {
 	armed  atomic.Bool
 	_      [cacheLinePad - 4]byte // keep the hot armed flag off cold fields' lines
@@ -105,14 +106,15 @@ func NewProfiler(workers, squads int) *Profiler {
 // now is the profiler's monotonic clock: ns since construction.
 func (p *Profiler) now() int64 { return int64(time.Since(p.start)) }
 
-// Armed reports whether accounting is live. One atomic load.
+// Armed reports whether time-in-state accounting is live. One atomic
+// load.
 //
 //cab:hotpath
 func (p *Profiler) Armed() bool { return p.armed.Load() }
 
-// Arm starts accounting. Each worker's in-progress state segment begins
-// at the moment of arming (stale time from before is not credited), and
-// flow counters resume from their previous totals.
+// Arm starts time-in-state accounting. Each worker's in-progress state
+// segment begins at the moment of arming (stale time from before is not
+// credited).
 func (p *Profiler) Arm() {
 	now := p.now()
 	for i := range p.shards {
@@ -121,10 +123,10 @@ func (p *Profiler) Arm() {
 	p.armed.Store(true)
 }
 
-// Disarm stops accounting, settling each worker's in-progress segment
-// into its current state so no armed time is lost. Settling races
-// benignly with owner transitions (monitoring grade; negative deltas are
-// dropped).
+// Disarm stops time-in-state accounting, settling each worker's
+// in-progress segment into its current state so no armed time is lost.
+// Settling races benignly with owner transitions (monitoring grade;
+// negative deltas are dropped).
 func (p *Profiler) Disarm() {
 	p.armed.Store(false)
 	now := p.now()
@@ -163,14 +165,11 @@ func (p *Profiler) SetState(w int, s WorkerState) {
 
 // FlowProbe records worker w probing victim squad vs: one probe, and on
 // success the number of task frames it moved (frames 0 on a miss).
-// Owner-called by the thief only; three adds on its own row, gated on
-// the armed flag like every other instrumentation point.
+// Owner-called by the thief only, on its own row; never gated on the
+// armed flag, since the matrix is a ledger, not a sample.
 //
 //cab:hotpath
 func (p *Profiler) FlowProbe(w, vs int, frames int64) {
-	if !p.armed.Load() {
-		return
-	}
 	c := &p.flow[w*p.stride+vs]
 	c.probes.Add(1)
 	if frames > 0 {
@@ -208,7 +207,8 @@ func (t *WorkerTimes) Add(o WorkerTimes) {
 
 // ProfSnapshot is a point-in-time copy of the software profile:
 // per-worker state times (the in-progress segment of an armed profiler
-// is credited to the current state) and the per-worker steal-flow rows.
+// is credited to the current state) and the per-worker steal-flow rows,
+// each cell read exactly once.
 // Like every obs snapshot it is monitoring grade, not a linearizable
 // cut.
 type ProfSnapshot struct {

@@ -269,8 +269,6 @@ func (r *Runtime) checkWorkers(cfg WatchdogConfig, seen []wdWorker, now time.Tim
 		}
 		if sh.stalled.Load() == 0 && now.Sub(s.since) >= cfg.StallAfter {
 			sh.stalled.Store(1)
-			r.health.stalledNow.Add(1)
-			r.health.stalls.Add(1)
 			if r.tr.Armed() {
 				r.tr.Record(w, obs.EvStall, 0, int(sh.curLevel.Load()), sh.curJob.Load())
 			}
@@ -280,6 +278,10 @@ func (r *Runtime) checkWorkers(cfg WatchdogConfig, seen []wdWorker, now time.Tim
 					sh.curJob.Load(), sh.curLevel.Load())
 				r.DumpState(cfg.Output)
 			}
+			// Counted after the diagnostic, so a waiter polling Health
+			// finds it already written.
+			r.health.stalledNow.Add(1)
+			r.health.stalls.Add(1)
 		}
 	}
 }
@@ -309,7 +311,6 @@ func (r *Runtime) checkJobs(cfg WatchdogConfig, now time.Time) {
 		}
 		if cfg.OverrunAfter > 0 && now.Sub(j.start) >= cfg.OverrunAfter &&
 			j.overdue.CompareAndSwap(false, true) {
-			r.health.overruns.Add(1)
 			if r.tr.Armed() {
 				r.tr.Record(-1, obs.EvOverrun, 0, 0, j.id)
 			}
@@ -318,6 +319,7 @@ func (r *Runtime) checkJobs(cfg WatchdogConfig, now time.Time) {
 					j.id, now.Sub(j.start).Round(time.Millisecond), cfg.OverrunAfter)
 				r.DumpState(cfg.Output)
 			}
+			r.health.overruns.Add(1) // after the diagnostic, as for stalls
 		}
 	}
 }

@@ -35,9 +35,12 @@ const jobSlabSize = 256
 // critical section; the scratch arrays live on the submitter's stack.
 const submitChunk = 32
 
-// jobDone is the terminal Job.state value (zero means running, which is
-// what fresh slab memory reads).
-const jobDone uint32 = 1
+// Job.state after running (zero, what fresh slab memory reads):
+// jobDrained once the DAG has drained, jobDone once waiters are released.
+const (
+	jobDrained uint32 = 1
+	jobDone    uint32 = 2
+)
 
 // closedChan is the shared pre-closed channel Done returns for finished
 // jobs that never lazily created one.
@@ -91,7 +94,7 @@ type Job struct {
 
 	wall      atomic.Int64 // ns from Submit to completion, written before the latch trips
 	queueWait atomic.Int64 // ns from Submit to adoption, written by the adopting worker
-	onDone    func()
+	onDone    func(error)
 
 	// Completion latch. The old per-job done channel cost one allocation
 	// per submit whether or not anybody ever selected on it; the latch is
@@ -99,7 +102,7 @@ type Job struct {
 	// itself, with a channel created lazily only when Done() is actually
 	// called. state is the lock-free fast path; mu guards doneCh creation
 	// and cv waits; finishJob trips all three.
-	state  atomic.Uint32 // 0 = running, jobDone = drained
+	state  atomic.Uint32 // 0 = running, then jobDrained, then jobDone
 	mu     sync.Mutex
 	cv     sync.Cond     // cv.L = &mu, set when the slab hands the Job out
 	doneCh chan struct{} // lazily created by Done(), closed by finishJob
@@ -138,10 +141,12 @@ type SubmitOpts struct {
 	// Cancel, when non-nil, aborts a blocked admission wait with
 	// ErrSubmitCancelled as soon as the channel is closed.
 	Cancel <-chan struct{}
-	// OnDone, when non-nil, runs on the completing worker right after the
-	// job's done channel closes. It must be fast and must not block (it
-	// holds up a scheduler worker).
-	OnDone func()
+	// OnDone, when non-nil, runs on the completing worker right before
+	// the job's done latch releases, so whatever it publishes is visible
+	// to every waiter. err is what Wait will return (the job's first task
+	// panic, or nil); the hook must not Wait on the job itself. It must be
+	// fast and must not block (it holds up a scheduler worker).
+	OnDone func(err error)
 	// Deadline, when non-zero, is the job's absolute deadline: the
 	// runtime's watchdog cancels the job (deadline reason) once it passes,
 	// whether the root is running or still queued. Enforcement granularity
@@ -378,9 +383,10 @@ func (r *Runtime) SubmitBatch(fns []work.Fn, opts SubmitOpts) ([]*Job, error) {
 
 // finishJob settles a job whose root frame just completed its join on
 // worker w: the wall clock stops, the run-time histogram gets its sample
-// (wall minus queue wait), and the completion latch trips — state for
-// lock-free polls, the cond for Wait blockers, the lazy channel (if Done
-// was ever called) for selectors.
+// (wall minus queue wait), the job is marked drained (its Stats are
+// final), the completion hook runs, and only then does the latch trip —
+// state for lock-free polls, the cond for Wait blockers, the lazy channel
+// for selectors — so every waiter sees the hook's side effects.
 func (r *Runtime) finishJob(w int, j *Job) {
 	r.untrackJob(j)
 	wall := int64(time.Since(j.start))
@@ -389,6 +395,10 @@ func (r *Runtime) finishJob(w int, j *Job) {
 	if r.tr.Armed() {
 		r.tr.Record(w, obs.EvJobDone, 0, 0, j.id)
 	}
+	j.state.Store(jobDrained)
+	if j.onDone != nil {
+		j.onDone(j.err())
+	}
 	j.mu.Lock()
 	j.state.Store(jobDone)
 	if j.doneCh != nil {
@@ -396,9 +406,6 @@ func (r *Runtime) finishJob(w int, j *Job) {
 	}
 	j.cv.Broadcast()
 	j.mu.Unlock()
-	if j.onDone != nil {
-		j.onDone()
-	}
 	r.live.Done()
 }
 
@@ -406,14 +413,15 @@ func (r *Runtime) finishJob(w int, j *Job) {
 func (j *Job) ID() int64 { return j.id }
 
 // Finished reports whether the job's entire DAG has drained. This is the
-// allocation-free poll the watchdog and Stats use.
-func (j *Job) Finished() bool { return j.state.Load() == jobDone }
+// allocation-free poll the watchdog and Stats use. It turns true just
+// before the completion hook runs, so Wait may still block briefly.
+func (j *Job) Finished() bool { return j.state.Load() >= jobDrained }
 
 // Done returns a channel closed when the job's entire DAG has finished.
 // The channel is created lazily on first call (a finished job gets a
 // shared pre-closed one), so jobs nobody selects on never pay for it.
 func (j *Job) Done() <-chan struct{} {
-	if j.Finished() {
+	if j.state.Load() == jobDone {
 		return closedChan
 	}
 	j.mu.Lock()
@@ -461,13 +469,19 @@ func (j *Job) DeadlineExceeded() bool {
 // first panic raised by one of the job's tasks. Cancellation is not an
 // error at this layer (internal/jobs maps it to the context's error).
 func (j *Job) Wait() error {
-	if !j.Finished() {
+	if j.state.Load() != jobDone {
 		j.mu.Lock()
 		for j.state.Load() != jobDone {
 			j.cv.Wait()
 		}
 		j.mu.Unlock()
 	}
+	return j.err()
+}
+
+// err is the job's outcome as Wait reports it: its first task panic, or
+// nil.
+func (j *Job) err() error {
 	if p := j.panicked.Load(); p != nil {
 		return p
 	}

@@ -233,36 +233,46 @@ func TestLatencyHistograms(t *testing.T) {
 	}
 }
 
-// TestSquadStats checks the per-squad aggregation sums to the global view.
+// TestSquadStats checks, on one snapshot, that the per-squad rollup sums
+// to the global view and that each squad's steals are its row of the
+// flow matrix.
 func TestSquadStats(t *testing.T) {
-	r := newRT(t, quadTopo(), 0)
-	if err := r.Run(func(p work.Proc) {
-		for i := 0; i < 256; i++ {
-			p.Spawn(noopFn)
+	for _, bl := range []int{0, 1} {
+		r := newRT(t, quadTopo(), bl)
+		j, err := r.Submit(fibTree(16))
+		if err != nil {
+			t.Fatal(err)
 		}
-		p.Sync()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	per := r.SquadStats()
-	if len(per) != 2 {
-		t.Fatalf("got %d squads, want 2", len(per))
-	}
-	var sum Stats
-	for _, s := range per {
-		sum.Spawns += s.Spawns
-		sum.StealsIntra += s.StealsIntra
-		sum.StealsInter += s.StealsInter
-		sum.StealsInterTasks += s.StealsInterTasks
-		sum.BatchSteals += s.BatchSteals
-		sum.FailedSteals += s.FailedSteals
-		sum.Helps += s.Helps
-		sum.InterSpawns += s.InterSpawns
-		sum.ProbesIntra += s.ProbesIntra
-		sum.ProbesInter += s.ProbesInter
-	}
-	if got := r.Stats(); got != sum {
-		t.Fatalf("squad stats sum %+v != global %+v", sum, got)
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		b := r.readBooks()
+		per := b.squads(r.topo)
+		if len(per) != 2 {
+			t.Fatalf("got %d squads, want 2", len(per))
+		}
+		var sum Stats
+		for _, s := range per {
+			sum.add(s)
+		}
+		if got := b.total(); got != sum {
+			t.Fatalf("BL=%d: squad stats sum %+v != global %+v", bl, sum, got)
+		}
+		if sum.Spawns != j.Stats().Spawns {
+			t.Fatalf("BL=%d: Spawns %d != the only job's %d", bl, sum.Spawns, j.Stats().Spawns)
+		}
+		flow := b.prof.SquadFlow(r.topo.Sockets, r.topo.SquadOf)
+		for i, row := range flow {
+			var probes, hits int64
+			for _, c := range row {
+				probes += c.Probes
+				hits += c.Hits
+			}
+			s := per[i]
+			if probes != s.ProbesIntra+s.ProbesInter || hits != s.StealsIntra+s.StealsInter {
+				t.Fatalf("BL=%d: squad %d flow row (probes %d, hits %d) != its stats %+v", bl, i, probes, hits, s)
+			}
+		}
 	}
 }
 

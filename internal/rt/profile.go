@@ -32,9 +32,9 @@ type SquadProfile struct {
 // steal-flow matrix, and hardware counters. Like Stats it is monitoring
 // grade, not a linearizable cut.
 type Profile struct {
-	// Enabled reports whether software accounting is armed; with it off,
-	// state times and the flow matrix stay frozen (hardware counters keep
-	// counting from attach regardless).
+	// Enabled reports whether time-in-state accounting is armed; with it
+	// off, state times stay frozen. The flow matrix and hardware counters
+	// count regardless.
 	Enabled bool
 	// HWCAvailable reports whether any worker attached hardware counters;
 	// false is the explicit hwc_available=0 degradation signal.
@@ -43,29 +43,28 @@ type Profile struct {
 	Squads       []SquadProfile
 	// Flow[i][j] is squad i's workers probing squad j for work: probes
 	// issued, hits, task frames moved. The diagonal is the intra-socket
-	// distance class, everything off it the inter-socket class. When
-	// accounting has been armed for the runtime's whole life, summing
-	// Hits over row i equals that squad's StealsIntra+StealsInter.
+	// distance class, everything off it the inter-socket class. It is the
+	// steal ledger Stats is folded from: summing Hits over row i equals
+	// that squad's StealsIntra+StealsInter in the same snapshot.
 	Flow [][]obs.FlowCell
 }
 
-// EnableProfiling arms time-in-state and steal-flow accounting. Arming
-// an armed runtime is a no-op for the flow counters and restarts the
-// in-progress state segments.
+// EnableProfiling arms time-in-state accounting. Arming an armed
+// runtime restarts the in-progress state segments.
 func (r *Runtime) EnableProfiling() { r.prof.Arm() }
 
-// DisableProfiling disarms accounting, settling in-progress state
-// segments. Counters and state times freeze but remain readable.
+// DisableProfiling disarms time-in-state accounting, settling
+// in-progress state segments. State times freeze but remain readable.
 func (r *Runtime) DisableProfiling() { r.prof.Disarm() }
 
-// Profiling reports whether accounting is armed.
+// Profiling reports whether time-in-state accounting is armed.
 func (r *Runtime) Profiling() bool { return r.prof.Armed() }
 
-// Profile snapshots the runtime profile. Reading hardware counters costs
-// one counter-read syscall per attached event; the software side is
-// plain atomic loads.
+// Profile snapshots the runtime profile from one pass over the ledgers
+// (see books). Reading hardware counters costs one counter-read syscall
+// per attached event; the software side is plain atomic loads.
 func (r *Runtime) Profile() Profile {
-	snap := r.prof.Snapshot()
+	snap := r.readBooks().prof
 	p := Profile{
 		Enabled: snap.Armed,
 		Workers: make([]WorkerProfile, r.workers),

@@ -1,7 +1,7 @@
 // Tests for the runtime profile: time-in-state accounting, the
-// steal-flow matrix and its consistency with the steal counters, the
-// hwc fallback ladder, and the zero-alloc contracts for both the
-// disarmed and the armed accounting paths.
+// steal-flow matrix as the steal ledger Stats is folded from, the hwc
+// fallback ladder, and the zero-alloc contracts for both the disarmed
+// and the armed accounting paths.
 package rt
 
 import (
@@ -14,9 +14,8 @@ import (
 	"cab/internal/work"
 )
 
-// profiledRT builds a runtime with accounting armed from the start, the
-// configuration the flow-matrix consistency invariant needs (probes
-// counted from the first steal onward).
+// profiledRT builds a runtime with time-in-state accounting armed from
+// the start.
 func profiledRT(t *testing.T, topo topology.Topology, bl int) *Runtime {
 	t.Helper()
 	r, err := New(Config{Topo: topo, BL: bl, Seed: 7, Profile: true})
@@ -87,26 +86,44 @@ func TestProfileStateTimes(t *testing.T) {
 	}
 }
 
-// TestProfileFlowConsistency is the invariant the cabbench -profile
-// smoke also asserts: with accounting armed for the runtime's whole
-// life, the flow matrix and the steal/probe counters describe the same
-// events.
-func TestProfileFlowConsistency(t *testing.T) {
-	for _, bl := range []int{0, 1} {
-		r := profiledRT(t, quadTopo(), bl)
-		if err := r.Run(fibTree(18)); err != nil {
-			t.Fatal(err)
-		}
-		p := r.Profile()
-		st := r.Stats()
-		var probes, hits, frames int64
-		for _, row := range p.Flow {
-			for _, c := range row {
-				probes += c.Probes
-				hits += c.Hits
-				frames += c.Frames
+// flowSums totals a squad×squad flow matrix, splitting out the
+// diagonal's hits and the off-diagonal frames.
+func flowSums(m [][]obs.FlowCell) (probes, hits, frames, diagHits, offFrames int64) {
+	for i, row := range m {
+		for j, c := range row {
+			probes += c.Probes
+			hits += c.Hits
+			frames += c.Frames
+			if i == j {
+				diagHits += c.Hits
+			} else {
+				offFrames += c.Frames
 			}
 		}
+	}
+	return
+}
+
+// TestProfileFlowConsistency checks the steal ledger on one snapshot,
+// with profiling disarmed (the matrix always counts). Stats and the
+// squad flow matrix are folds of the same books value, so they balance
+// exactly. The matrix's hits and frames must also match the job's own
+// Steals and Migrations, which the steal paths count separately; those
+// settle once the job is done, since no frame of it is left to steal.
+func TestProfileFlowConsistency(t *testing.T) {
+	for _, bl := range []int{0, 1} {
+		r := newRT(t, quadTopo(), bl)
+		j, err := r.Submit(fibTree(18))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		js := j.Stats()
+		b := r.readBooks()
+		st := b.total()
+		probes, hits, frames, diagHits, offFrames := flowSums(b.prof.SquadFlow(r.topo.Sockets, r.topo.SquadOf))
 		if want := st.ProbesIntra + st.ProbesInter; probes != want {
 			t.Errorf("BL=%d: flow probes %d != ProbesIntra+ProbesInter %d", bl, probes, want)
 		}
@@ -115,6 +132,19 @@ func TestProfileFlowConsistency(t *testing.T) {
 		}
 		if want := st.StealsIntra + st.StealsInterTasks; frames != want {
 			t.Errorf("BL=%d: flow frames %d != StealsIntra+StealsInterTasks %d", bl, frames, want)
+		}
+		// A job's Steals are its deque steals: under BL 0 every hit,
+		// under BL 1 the diagonal's. Migrations are frames that crossed
+		// squads, which only off-diagonal hits move.
+		wantSteals := diagHits
+		if bl == 0 {
+			wantSteals = hits
+		}
+		if js.Steals != wantSteals {
+			t.Errorf("BL=%d: job Steals %d != ledger deque hits %d", bl, js.Steals, wantSteals)
+		}
+		if js.Migrations != offFrames {
+			t.Errorf("BL=%d: job Migrations %d != ledger off-diagonal frames %d", bl, js.Migrations, offFrames)
 		}
 		if hits == 0 {
 			t.Errorf("BL=%d: fib(18) on a 2x2 machine produced no steals at all", bl)
@@ -137,13 +167,6 @@ func TestProfileDisarmedFrozen(t *testing.T) {
 	for _, wp := range p.Workers {
 		if wp.Times.Total() != 0 {
 			t.Fatalf("disarmed runtime accumulated state time: %+v", wp)
-		}
-	}
-	for _, row := range p.Flow {
-		for _, c := range row {
-			if c.Probes != 0 {
-				t.Fatal("disarmed runtime recorded flow probes")
-			}
 		}
 	}
 

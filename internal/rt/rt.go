@@ -122,10 +122,11 @@ type Config struct {
 	// watchdog is enabled (supervision consumes the watchdog's signals, so
 	// disabling the watchdog disables it too).
 	Supervisor SupervisorConfig
-	// Profile arms time-in-state and steal-flow accounting from the start
-	// (see EnableProfiling/DisableProfiling for runtime control). Disarmed
-	// profiling costs one atomic load per instrumentation point and zero
-	// allocations, same contract as disarmed tracing.
+	// Profile arms time-in-state accounting from the start (see
+	// EnableProfiling/DisableProfiling for runtime control). Disarmed it
+	// costs one atomic load per state transition and zero allocations,
+	// same contract as disarmed tracing. The steal-flow matrix is the
+	// runtime's steal ledger and always counts.
 	Profile bool
 	// HWC attaches hardware performance counters (cycles, instructions,
 	// LLC loads/misses via perf_event_open) to each worker's OS thread,
@@ -135,10 +136,16 @@ type Config struct {
 	HWC bool
 }
 
-// Stats counts scheduler events since the runtime started.
+// Stats counts scheduler events since the runtime started. The probe and
+// steal fields are folds of the steal-flow matrix (see Profile.Flow): the
+// diagonal is the intra-socket distance class, everything off it the
+// inter-socket class.
 type Stats struct {
 	Spawns      int64
 	InterSpawns int64
+	// StealsIntra counts successful probes of squad-mates' deques; under
+	// BL 0, where every deque is one tier, it counts every successful
+	// probe, remote ones included.
 	StealsIntra int64
 	// StealsInter counts cross-socket steal *operations* (lock
 	// acquisitions on a remote squad's inter pool that came back with
@@ -181,7 +188,9 @@ type task struct {
 // statShard is one worker's private event counters, padded so two workers
 // never share a cache line. The counters are atomics only because Stats()
 // may aggregate them concurrently; each is written by a single worker, so
-// the RMWs are uncontended.
+// the RMWs are uncontended. Steal probes and hits are not here: the
+// worker's steal-flow row in the profiler is their only record (see
+// readBooks).
 //
 // The shard doubles as the worker's watchdog heartbeat (piggybacked here
 // so monitoring adds no new per-worker cache lines): exec is a monotonic
@@ -193,22 +202,17 @@ type task struct {
 //
 //cab:padded
 type statShard struct {
-	spawns           atomic.Int64
-	interSpawns      atomic.Int64
-	stealsIntra      atomic.Int64
-	stealsInter      atomic.Int64
-	stealsInterTasks atomic.Int64
-	batchSteals      atomic.Int64
-	failedSteals     atomic.Int64
-	helps            atomic.Int64
-	probesIntra      atomic.Int64
-	probesInter      atomic.Int64
-	exec             atomic.Uint64 // heartbeat: monotonic progress beat
-	curJob           atomic.Int64
-	curLevel         atomic.Int64
-	parked           atomic.Uint32
-	stalled          atomic.Uint32
-	_                [cacheLine - 112]byte
+	spawns       atomic.Int64
+	interSpawns  atomic.Int64
+	batchSteals  atomic.Int64
+	failedSteals atomic.Int64
+	helps        atomic.Int64
+	exec         atomic.Uint64 // heartbeat: monotonic progress beat
+	curJob       atomic.Int64
+	curLevel     atomic.Int64
+	parked       atomic.Uint32
+	stalled      atomic.Uint32
+	_            [cacheLine - 72]byte
 }
 
 // squadFlag is a per-squad busy_state flag on its own cache line; the
@@ -324,10 +328,11 @@ type Runtime struct {
 	// Observability: the tracer's armed flag gates every event record (one
 	// atomic load when disarmed); the metrics histograms are always on but
 	// touched only at job-level and idle-level events, never per spawn.
-	// The profiler carries time-in-state and steal-flow accounting behind
-	// its own armed flag; hwcGroups holds each worker's hardware-counter
-	// group (nil where attachment failed or was not requested), published
-	// by the worker at startup and read by Profile from any goroutine.
+	// The profiler carries time-in-state accounting behind its own armed
+	// flag, plus the always-on steal-flow matrix; hwcGroups holds each
+	// worker's hardware-counter group (nil where attachment failed or was
+	// not requested), published by the worker at startup and read by
+	// Profile from any goroutine.
 	tr        *obs.Tracer
 	met       *obs.Metrics
 	prof      *obs.Profiler
@@ -464,10 +469,18 @@ func New(cfg Config) (*Runtime, error) {
 	if h := cfg.Supervisor.OnDeath; h != nil {
 		r.deathHook.Store(&h)
 	}
-	for w := 0; w < r.workers; w++ {
+	// Build every worker's state, publish every slot, then start the
+	// workers: a worker's first idle scan may steal from any slot, so no
+	// worker may run before the last deque is stored.
+	wss := make([]*wstate, r.workers)
+	for w := range wss {
+		wss[w] = r.newWorkerState(w, 1)
+	}
+	for w, ws := range wss {
 		r.slots[w].gen.Store(1)
-		ws := r.newWorkerState(w, 1)
 		r.intra[w].Store(ws.deq)
+	}
+	for w, ws := range wss {
 		r.wg.Add(1)
 		go r.workerLoop(w, ws)
 	}
@@ -503,48 +516,86 @@ func (r *Runtime) BL() int { return r.bl }
 // Topology returns the logical machine.
 func (r *Runtime) Topology() topology.Topology { return r.topo }
 
-// Stats aggregates the per-worker event shards into one snapshot. The sum
-// is not a single linearizable cut across workers — fine for monitoring,
-// and it keeps the hot path free of shared contended counters.
-func (r *Runtime) Stats() Stats {
+// books is one pass over the per-worker ledgers: the profiler snapshot
+// and every worker's Stats, with the probe and steal fields folded from
+// the flow row that pass read. Stats, SquadStats and Profile fold one
+// books value each, so within it the flow matrix and the steal counters
+// balance by construction. It is not a linearizable cut across workers.
+type books struct {
+	prof    obs.ProfSnapshot
+	workers []Stats
+}
+
+func (r *Runtime) readBooks() books {
+	b := books{prof: r.prof.Snapshot(), workers: make([]Stats, r.workers)}
+	for w := range b.workers {
+		sh := &r.stats[w]
+		s := &b.workers[w]
+		s.Spawns = sh.spawns.Load()
+		s.InterSpawns = sh.interSpawns.Load()
+		s.BatchSteals = sh.batchSteals.Load()
+		s.FailedSteals = sh.failedSteals.Load()
+		s.Helps = sh.helps.Load()
+		own := r.topo.SquadOf(w)
+		for vs, c := range b.prof.Flow[w] {
+			switch {
+			case vs == own:
+				s.ProbesIntra += c.Probes
+				s.StealsIntra += c.Hits
+			case r.bl == 0:
+				// Single tier: every deque is one tier, so a remote
+				// hit is still an intra steal (see Stats.StealsIntra).
+				s.ProbesInter += c.Probes
+				s.StealsIntra += c.Hits
+			default:
+				s.ProbesInter += c.Probes
+				s.StealsInter += c.Hits
+				s.StealsInterTasks += c.Frames
+			}
+		}
+	}
+	return b
+}
+
+// add accumulates o into s (machine and squad rollups).
+func (s *Stats) add(o Stats) {
+	s.Spawns += o.Spawns
+	s.InterSpawns += o.InterSpawns
+	s.StealsIntra += o.StealsIntra
+	s.StealsInter += o.StealsInter
+	s.StealsInterTasks += o.StealsInterTasks
+	s.BatchSteals += o.BatchSteals
+	s.FailedSteals += o.FailedSteals
+	s.Helps += o.Helps
+	s.ProbesIntra += o.ProbesIntra
+	s.ProbesInter += o.ProbesInter
+}
+
+// total folds the books over the whole machine.
+func (b books) total() Stats {
 	var s Stats
-	for i := range r.stats {
-		sh := &r.stats[i]
-		s.Spawns += sh.spawns.Load()
-		s.InterSpawns += sh.interSpawns.Load()
-		s.StealsIntra += sh.stealsIntra.Load()
-		s.StealsInter += sh.stealsInter.Load()
-		s.StealsInterTasks += sh.stealsInterTasks.Load()
-		s.BatchSteals += sh.batchSteals.Load()
-		s.FailedSteals += sh.failedSteals.Load()
-		s.Helps += sh.helps.Load()
-		s.ProbesIntra += sh.probesIntra.Load()
-		s.ProbesInter += sh.probesInter.Load()
+	for _, ws := range b.workers {
+		s.add(ws)
 	}
 	return s
 }
 
-// SquadStats aggregates the per-worker event shards squad by squad — the
-// per-socket breakdown the serving surface exposes (the paper's §V
-// argument is made per socket, not per machine).
-func (r *Runtime) SquadStats() []Stats {
-	out := make([]Stats, r.topo.Sockets)
-	for w := range r.stats {
-		sh := &r.stats[w]
-		s := &out[r.topo.SquadOf(w)]
-		s.Spawns += sh.spawns.Load()
-		s.InterSpawns += sh.interSpawns.Load()
-		s.StealsIntra += sh.stealsIntra.Load()
-		s.StealsInter += sh.stealsInter.Load()
-		s.StealsInterTasks += sh.stealsInterTasks.Load()
-		s.BatchSteals += sh.batchSteals.Load()
-		s.FailedSteals += sh.failedSteals.Load()
-		s.Helps += sh.helps.Load()
-		s.ProbesIntra += sh.probesIntra.Load()
-		s.ProbesInter += sh.probesInter.Load()
+// squads folds the books squad by squad.
+func (b books) squads(topo topology.Topology) []Stats {
+	out := make([]Stats, topo.Sockets)
+	for w, ws := range b.workers {
+		out[topo.SquadOf(w)].add(ws)
 	}
 	return out
 }
+
+// Stats folds one pass over the per-worker ledgers (see books).
+func (r *Runtime) Stats() Stats { return r.readBooks().total() }
+
+// SquadStats folds one pass over the per-worker ledgers squad by squad —
+// the per-socket breakdown the serving surface exposes (the paper's §V
+// argument is made per socket, not per machine).
+func (r *Runtime) SquadStats() []Stats { return r.readBooks().squads(r.topo) }
 
 // Metrics snapshots the always-on latency histograms: job queue wait, job
 // run time and idle steal-scan duration.
@@ -1232,8 +1283,6 @@ func (r *Runtime) findTask(w int, ws *wstate) *task {
 //
 //cab:hotpath
 func (r *Runtime) stealInterFrom(w, sq, victim int, ws *wstate) *task {
-	sh := &r.stats[w]
-	sh.probesInter.Add(1)
 	r.prof.SetState(w, obs.StateScanInter)
 	st := &ws.steal
 	k := r.inter[victim].StealHalfInto(st.batch, r.matchFor[sq])
@@ -1242,7 +1291,7 @@ func (r *Runtime) stealInterFrom(w, sq, victim int, ws *wstate) *task {
 		// same starvation escape the single-task StealMatch path had.
 		k = r.inter[victim].StealHalfInto(st.batch, nil)
 	}
-	// Steal-flow matrix: one probe of the victim squad, k frames moved
+	// The steal ledger: one probe of the victim squad, k frames moved
 	// (0 = miss). victim is already the squad index on this path.
 	r.prof.FlowProbe(w, victim, int64(k))
 	if k == 0 {
@@ -1250,11 +1299,9 @@ func (r *Runtime) stealInterFrom(w, sq, victim int, ws *wstate) *task {
 	}
 	t := st.batch[0]
 	st.batch[0] = nil
-	sh.stealsInter.Add(1)
-	sh.stealsInterTasks.Add(int64(k))
 	traced := r.tr.Armed()
 	if k > 1 {
-		sh.batchSteals.Add(1)
+		r.stats[w].batchSteals.Add(1)
 		if traced {
 			// Level carries the batch size: one record per operation, not
 			// per frame, keeps tracing cost off the batched path.
@@ -1314,7 +1361,7 @@ func (r *Runtime) stealIntraFrom(w, sq int, ws *wstate) *task {
 	st := &ws.steal
 	base := r.topo.HeadWorker(sq)
 	if v := int(st.lastIntra); v >= base && v < base+n && v != w {
-		if t := r.stealIntraProbe(w, v); t != nil {
+		if t := r.stealAnyProbe(w, sq, v); t != nil {
 			return t
 		}
 		st.lastIntra = -1
@@ -1324,42 +1371,13 @@ func (r *Runtime) stealIntraFrom(w, sq int, ws *wstate) *task {
 		if victim >= w {
 			victim++
 		}
-		if t := r.stealIntraProbe(w, victim); t != nil {
+		if t := r.stealAnyProbe(w, sq, victim); t != nil {
 			st.lastIntra = int32(victim)
 			return t
 		}
 	}
 	r.stats[w].failedSteals.Add(1)
 	return nil
-}
-
-// stealIntraProbe is one attempt against one squad-mate's deque.
-//
-//cab:hotpath
-func (r *Runtime) stealIntraProbe(w, victim int) *task {
-	r.stats[w].probesIntra.Add(1)
-	t := r.intra[victim].Load().Steal()
-	if r.prof.Armed() {
-		// Armed-only guard keeps the disarmed probe at one atomic load:
-		// the victim's squad lookup and hit/miss fold happen only when the
-		// flow matrix is live. Intra probes move at most one frame.
-		var fr int64
-		if t != nil {
-			fr = 1
-		}
-		r.prof.FlowProbe(w, r.topo.SquadOf(victim), fr)
-	}
-	if t == nil {
-		return nil
-	}
-	r.stats[w].stealsIntra.Add(1)
-	if j := t.job; j != nil {
-		j.steals.Add(1)
-	}
-	if r.tr.Armed() {
-		r.tr.Record(w, obs.EvStealIntra, obsTier(t.tier), t.level, jid(t.job))
-	}
-	return t
 }
 
 // stealAny is the BL == 0 degenerate mode: random victims over all
@@ -1417,30 +1435,21 @@ func (r *Runtime) stealAny(w int, ws *wstate) *task {
 	return nil
 }
 
-// stealAnyProbe is one attempt against any worker's deque in BL == 0
-// mode, attributing cross-squad hits as migrations.
+// stealAnyProbe is one attempt against one worker's Chase-Lev deque — a
+// squad-mate's under BL > 0, any worker's under BL == 0 — recorded in the
+// steal ledger against the victim's squad and attributing cross-squad
+// hits as migrations. A deque steal moves at most one frame.
 //
 //cab:hotpath
 func (r *Runtime) stealAnyProbe(w, sq, victim int) *task {
-	sh := &r.stats[w]
-	crossed := r.topo.SquadOf(victim) != sq
-	if crossed {
-		sh.probesInter.Add(1)
-	} else {
-		sh.probesIntra.Add(1)
-	}
+	vs := r.topo.SquadOf(victim)
+	crossed := vs != sq
 	t := r.intra[victim].Load().Steal()
-	if r.prof.Armed() {
-		var fr int64
-		if t != nil {
-			fr = 1
-		}
-		r.prof.FlowProbe(w, r.topo.SquadOf(victim), fr)
-	}
 	if t == nil {
+		r.prof.FlowProbe(w, vs, 0)
 		return nil
 	}
-	sh.stealsIntra.Add(1)
+	r.prof.FlowProbe(w, vs, 1)
 	if j := t.job; j != nil {
 		j.steals.Add(1)
 		if crossed {

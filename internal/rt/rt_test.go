@@ -332,6 +332,25 @@ func TestPanicErrorString(t *testing.T) {
 
 var noopFn work.Fn = func(work.Proc) {}
 
+// TestNewPublishesBeforeStart guards New's startup order: every slot's
+// deque must be stored before any worker runs, because a worker's first
+// idle scan may steal from any slot. Each cycle gives an early worker one
+// chance to load an unpublished (nil) deque; with the order reversed, a
+// 2000-cycle loop crashed in about half the runs on a 2-CPU host.
+func TestNewPublishesBeforeStart(t *testing.T) {
+	flat := topology.Topology{
+		Sockets: 1, CoresPerSocket: 2, LineBytes: 64,
+		L3Bytes: 1 << 20, L3Assoc: 16,
+	}
+	for i := 0; i < 5000; i++ {
+		r, err := New(Config{Topo: flat, Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
 // TestSpawnSyncZeroAlloc is the fast-path regression test of the frame
 // freelist: steady-state spawn/sync on a warm runtime must perform zero
 // heap allocations per task frame. A 1x1 machine makes the measurement

@@ -185,7 +185,6 @@ func (r *Runtime) replaceWorker(cfg WatchdogConfig, w int, gen uint64, exited bo
 		since: now,
 	}
 	sq := r.topo.SquadOf(w)
-	r.health.deaths.Add(1)
 	if deaths := r.busy[sq].deaths.Add(1); r.super.QuarantineAfter > 0 &&
 		deaths >= int64(r.super.QuarantineAfter) && !r.busy[sq].quar.Load() &&
 		r.healthySquads() > 1 {
@@ -210,6 +209,7 @@ func (r *Runtime) replaceWorker(cfg WatchdogConfig, w int, gen uint64, exited bo
 	r.superMu.Lock()
 	if r.stopping.Load() {
 		r.superMu.Unlock()
+		r.health.deaths.Add(1)
 		return
 	}
 	r.wg.Add(1)
@@ -219,6 +219,8 @@ func (r *Runtime) replaceWorker(cfg WatchdogConfig, w int, gen uint64, exited bo
 	if h := r.deathHook.Load(); h != nil {
 		(*h)(DeathInfo{Worker: w, Squad: sq, Gen: gen, Exited: exited, Reclaimed: reclaimed})
 	}
+	// Counted last: a waiter polling WorkerDeaths sees the hook's effects.
+	r.health.deaths.Add(1)
 }
 
 // healthySquads counts squads not under quarantine.

@@ -105,7 +105,7 @@ func (s *Scheduler) writeProfileMetrics(w io.Writer) {
 	if p.Enabled {
 		armed = 1
 	}
-	obs.PromGauge(w, "cab_profiling_armed", "Whether time-in-state and steal-flow accounting is armed.", armed)
+	obs.PromGauge(w, "cab_profiling_armed", "Whether time-in-state accounting is armed (the steal-flow series always count).", armed)
 	avail := 0.0
 	if p.HWCAvailable {
 		avail = 1

@@ -3,8 +3,8 @@ package cab
 import (
 	"time"
 
+	"cab/internal/hwc"
 	"cab/internal/obs"
-	"cab/internal/rt"
 )
 
 // StateTimes is a worker's (or squad's) accumulated wall time per
@@ -83,8 +83,9 @@ type SquadProfile struct {
 // where the host grants them. Snapshots are cumulative; diff two to
 // window a load interval (cabtop renders exactly that delta).
 type Profile struct {
-	// Enabled reports whether software accounting is armed. Disarmed,
-	// state times and the flow matrix stay frozen at their last values.
+	// Enabled reports whether time-in-state accounting is armed.
+	// Disarmed, state times stay frozen at their last values; the flow
+	// matrix counts regardless.
 	Enabled bool `json:"enabled"`
 	// HWCAvailable is the explicit degradation signal: false means no
 	// worker could attach perf counters (non-Linux, no permissions, no
@@ -95,18 +96,20 @@ type Profile struct {
 	Squads       []SquadProfile  `json:"squads"`
 	// Flow[i][j]: squad i stealing from squad j. The diagonal is the
 	// intra-socket distance class, off-diagonal the inter-socket class.
-	// With accounting armed since New, row i's Hits sum equals squad i's
-	// StealsIntra+StealsInter.
+	// It is the steal ledger, always counting since New: Stats and
+	// SquadStats fold their probe and steal fields from the same cells,
+	// so row i's Hits sum equals squad i's StealsIntra+StealsInter when
+	// both are read at once (hits stop moving once no job is running).
 	Flow [][]FlowCell `json:"flow"`
 }
 
-func hwCounters(p rt.WorkerProfile) HWCounters {
+func hwCounters(c hwc.Counters, valid bool) HWCounters {
 	return HWCounters{
-		Cycles: p.HW.Cycles, Instructions: p.HW.Instructions,
-		LLCLoads: p.HW.LLCLoads, LLCMisses: p.HW.LLCMisses,
-		Valid:     p.HWOk,
-		HasCycles: p.HW.HasCycles, HasInstructions: p.HW.HasInstructions,
-		HasLLCLoads: p.HW.HasLLCLoads, HasLLCMisses: p.HW.HasLLCMisses,
+		Cycles: c.Cycles, Instructions: c.Instructions,
+		LLCLoads: c.LLCLoads, LLCMisses: c.LLCMisses,
+		Valid:     valid,
+		HasCycles: c.HasCycles, HasInstructions: c.HasInstructions,
+		HasLLCLoads: c.HasLLCLoads, HasLLCMisses: c.HasLLCMisses,
 	}
 }
 
@@ -125,40 +128,32 @@ func (s *Scheduler) Profile() Profile {
 	for i, wp := range rp.Workers {
 		p.Workers[i] = WorkerProfile{
 			Worker: wp.Worker, Squad: wp.Squad, State: wp.State,
-			Times: stateTimes(wp.Times), HW: hwCounters(wp),
+			Times: stateTimes(wp.Times), HW: hwCounters(wp.HW, wp.HWOk),
 		}
 	}
 	for i, sp := range rp.Squads {
 		p.Squads[i] = SquadProfile{
 			Squad: sp.Squad, Times: stateTimes(sp.Times),
-			HW: HWCounters{
-				Cycles: sp.HW.Cycles, Instructions: sp.HW.Instructions,
-				LLCLoads: sp.HW.LLCLoads, LLCMisses: sp.HW.LLCMisses,
-				Valid:     sp.HWOk,
-				HasCycles: sp.HW.HasCycles, HasInstructions: sp.HW.HasInstructions,
-				HasLLCLoads: sp.HW.HasLLCLoads, HasLLCMisses: sp.HW.HasLLCMisses,
-			},
+			HW: hwCounters(sp.HW, sp.HWOk),
 		}
 	}
 	for i, row := range rp.Flow {
 		cells := make([]FlowCell, len(row))
 		for j, c := range row {
-			cells[j] = FlowCell{Probes: c.Probes, Hits: c.Hits, Frames: c.Frames}
+			cells[j] = FlowCell(c)
 		}
 		p.Flow[i] = cells
 	}
 	return p
 }
 
-// StartProfile arms time-in-state and steal-flow accounting on a live
-// scheduler. In-progress state segments begin at the moment of arming;
-// flow counters resume from their previous totals (so the
-// row-sum == steals invariant only holds when armed since New).
+// StartProfile arms time-in-state accounting on a live scheduler.
+// In-progress state segments begin at the moment of arming.
 func (s *Scheduler) StartProfile() { s.rt.EnableProfiling() }
 
-// StopProfile disarms accounting, settling in-progress segments. The
-// frozen profile remains readable via Profile.
+// StopProfile disarms time-in-state accounting, settling in-progress
+// segments. The frozen state times remain readable via Profile.
 func (s *Scheduler) StopProfile() { s.rt.DisableProfiling() }
 
-// Profiling reports whether accounting is armed.
+// Profiling reports whether time-in-state accounting is armed.
 func (s *Scheduler) Profiling() bool { return s.rt.Profiling() }

@@ -21,6 +21,7 @@
 #
 # Usage: scripts/bench.sh [output.json]   (default: BENCH_rt.json)
 #        scripts/bench.sh --check
+# Any other flag, or more than one argument, prints the usage and exits 2.
 #
 # --check is the regression gate: it benchmarks into a temp file, compares
 # the fresh medians against the committed BENCH_rt.json, and exits nonzero if
@@ -30,14 +31,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+usage() {
+    echo "usage: scripts/bench.sh [output.json]" >&2
+    echo "       scripts/bench.sh --check" >&2
+    exit 2
+}
+
+[ $# -le 1 ] || usage
 check=0
 out="BENCH_rt.json"
-if [ "${1:-}" = "--check" ]; then
-    check=1
-    out="$(mktemp --suffix=.json)"
-elif [ -n "${1:-}" ]; then
-    out="$1"
-fi
+case "${1:-}" in
+--check) check=1; out="$(mktemp --suffix=.json)" ;;
+-*) usage ;;
+?*) out="$1" ;;
+esac
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
